@@ -4,16 +4,54 @@ use std::collections::BTreeMap;
 
 use vrm_memmodel::ir::{Addr, Val};
 
+/// MurmurHash3's 64-bit finalizer: a fixed bijection on `u64` with full
+/// avalanche. Pinned here (not `std`'s unspecified hasher) so digests
+/// built from it never move with the toolchain.
+pub fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// Pinned 128-bit mix of one `(key, value)` word pair: two lanes with
+/// fixed seeds, each injective in `value` for a fixed `key`. Summing
+/// the mixes of a set's members (wrapping) gives an order-independent
+/// set digest that a writer can update in O(1).
+pub fn mix128(key: u64, val: u64) -> u128 {
+    let a = fmix64(fmix64(key ^ 0x9e37_79b9_7f4a_7c15) ^ val);
+    let b = fmix64(fmix64(key.rotate_left(32) ^ 0xc2b2_ae3d_27d4_eb4f).wrapping_add(val));
+    (u128::from(a) << 64) | u128::from(b)
+}
+
 /// Sparse physical memory; unwritten cells read as zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct PhysMem {
     cells: BTreeMap<Addr, Val>,
+    /// Wrapping sum of [`mix128`] over the non-zero cells, kept current
+    /// by every writer so [`PhysMem::digest`] never scans memory.
+    digest: u128,
+}
+
+impl std::fmt::Debug for PhysMem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PhysMem")
+            .field("cells", &self.cells)
+            .finish()
+    }
 }
 
 impl PhysMem {
     /// Creates empty (all-zero) memory.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Order-independent 128-bit digest of the contents, O(1). Equal
+    /// contents give equal digests whatever writes produced them.
+    pub fn digest(&self) -> u128 {
+        self.digest
     }
 
     /// Reads one word.
@@ -23,17 +61,25 @@ impl PhysMem {
 
     /// Writes one word.
     pub fn write(&mut self, addr: Addr, val: Val) {
-        if val == 0 {
-            self.cells.remove(&addr);
+        let old = if val == 0 {
+            self.cells.remove(&addr)
         } else {
-            self.cells.insert(addr, val);
+            self.cells.insert(addr, val)
+        };
+        if let Some(old) = old {
+            self.digest = self.digest.wrapping_sub(mix128(addr, old));
+        }
+        if val != 0 {
+            self.digest = self.digest.wrapping_add(mix128(addr, val));
         }
     }
 
     /// Zeroes `len` words starting at `base`.
     pub fn zero_range(&mut self, base: Addr, len: u64) {
         for a in base..base + len {
-            self.cells.remove(&a);
+            if let Some(old) = self.cells.remove(&a) {
+                self.digest = self.digest.wrapping_sub(mix128(a, old));
+            }
         }
     }
 
@@ -66,7 +112,7 @@ impl PhysMem {
         let mut out = PhysMem::new();
         for &(lo, hi) in ranges {
             for (&a, &v) in self.cells.range(lo..hi) {
-                out.cells.insert(a, v);
+                out.write(a, v);
             }
         }
         out
@@ -86,6 +132,27 @@ mod tests {
         m.write(5, 0);
         assert_eq!(m.read(5), 0);
         assert_eq!(m.population(), 0);
+    }
+
+    #[test]
+    fn digest_tracks_contents_not_history() {
+        let mut a = PhysMem::new();
+        let mut b = PhysMem::new();
+        a.write(1, 5);
+        a.write(2, 6);
+        b.write(2, 9);
+        b.write(2, 6);
+        b.write(3, 1);
+        b.write(1, 5);
+        assert_ne!(a.digest(), b.digest());
+        b.zero_range(3, 1);
+        assert_eq!(a.digest(), b.digest());
+        a.write(1, 0);
+        a.write(2, 0);
+        assert_eq!(a.digest(), 0);
+        assert_eq!(b.clone_ranges(&[(0, 2)]).digest(), mix128(1, 5));
+        // Pinned: a toolchain bump must not move the mix.
+        assert_eq!(mix128(1, 5), 0xac91_78a1_e178_3a18_48b4_8439_929f_cb78);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! logs page-table writes, barriers, TLBIs, data accesses, and ownership
 //! changes for the [`wdrf`](crate::wdrf) validators.
 
+use std::fmt::Write as _;
+
 use vrm_memmodel::ir::{Addr, Val};
-use vrm_mmu::mem::PhysMem;
+use vrm_mmu::mem::{fmix64, PhysMem};
 use vrm_mmu::pool::PagePool;
 use vrm_mmu::pte::Perms;
 use vrm_mmu::table::{Geometry, MapError};
@@ -41,7 +43,7 @@ use crate::npt::{S2Behaviour, S2Error, Stage2};
 use crate::s2page::{Owner, OwnershipError, S2PageArray};
 use crate::smmu::SmmuDevice;
 use crate::ticketlock::TicketLock;
-use crate::vcpu::{Vcpu, VcpuCtx, VcpuError};
+use crate::vcpu::{Vcpu, VcpuCtx, VcpuError, VcpuState};
 use crate::vgic::{VGic, VgicError};
 
 /// Configuration (including the mutant switches used to demonstrate the
@@ -288,16 +290,217 @@ impl Locks {
         }
     }
 
-    /// Writes a canonical encoding of every lock's *semantic* state —
-    /// queue depth and holder, not the absolute ticket counters or the
-    /// spin statistics, which are schedule history rather than state.
-    pub fn encode(&self, w: &mut impl std::fmt::Write) {
-        let all = [&self.vmid, &self.kserv_s2, &self.s2page, &self.el2]
+    /// Every lock, in a fixed order.
+    fn all(&self) -> impl Iterator<Item = &TicketLock> {
+        [&self.vmid, &self.kserv_s2, &self.s2page, &self.el2]
             .into_iter()
             .chain(self.vm.iter())
-            .chain(self.smmu.iter());
-        for l in all {
+            .chain(self.smmu.iter())
+    }
+
+    /// Hashes every lock's *semantic* state — queue depth and holder,
+    /// not the absolute ticket counters or the spin statistics, which
+    /// are schedule history rather than state.
+    fn digest_into(&self, h: &mut StateHasher) {
+        for l in self.all() {
+            h.word(l.queue_depth());
+            h.opt(l.holder().map(|c| c as u64));
+        }
+    }
+
+    /// The text form of [`Locks::digest_into`]'s input, for the
+    /// partition oracle in the machine tests.
+    #[cfg(test)]
+    fn encode(&self, w: &mut impl std::fmt::Write) {
+        for l in self.all() {
             let _ = write!(w, "{}:{:?},", l.queue_depth(), l.holder());
+        }
+    }
+}
+
+/// A two-lane, word-at-a-time 128-bit hasher with a pinned mix and
+/// fixed seeds: the machine-state digest. Nothing in it comes from
+/// `std`'s unspecified hashers, so a digest computed by one build
+/// equals the one computed by any other.
+///
+/// Callers feed a *prefix-free* encoding — every variable-length
+/// collection is preceded by its length and every enum by a tag — so
+/// distinct inputs differ as word sequences.
+#[derive(Debug)]
+pub(crate) struct StateHasher {
+    a: u64,
+    b: u64,
+}
+
+impl StateHasher {
+    pub(crate) fn new() -> Self {
+        StateHasher {
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+        }
+    }
+
+    /// Absorbs one word. Each lane's step is a bijection of its state
+    /// for a fixed word and of the word for a fixed state.
+    pub(crate) fn word(&mut self, x: u64) {
+        self.a = fmix64(self.a ^ x);
+        self.b = (self.b.rotate_left(27) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.b ^= self.b >> 31;
+    }
+
+    pub(crate) fn words(&mut self, xs: impl IntoIterator<Item = u64>) {
+        xs.into_iter().for_each(|x| self.word(x));
+    }
+
+    pub(crate) fn wide(&mut self, x: u128) {
+        self.word(x as u64);
+        self.word((x >> 64) as u64);
+    }
+
+    pub(crate) fn opt(&mut self, x: Option<u64>) {
+        match x {
+            None => self.word(0),
+            Some(v) => {
+                self.word(1);
+                self.word(v);
+            }
+        }
+    }
+
+    /// Absorbs `v`'s text, streamed eight bytes to a word with no
+    /// allocation, then its byte length.
+    pub(crate) fn text(&mut self, v: &dyn std::fmt::Display) {
+        let mut t = TextFeed {
+            h: self,
+            buf: 0,
+            len: 0,
+        };
+        let _ = write!(t, "{v}");
+        if !t.len.is_multiple_of(8) {
+            t.h.word(t.buf);
+        }
+        t.h.word(t.len);
+    }
+
+    pub(crate) fn finish(&self) -> (u64, u64) {
+        (fmix64(self.a), fmix64(self.b))
+    }
+}
+
+/// Packs a byte stream into words for [`StateHasher`]. The packing
+/// depends only on the bytes, not on how `write_str` calls split them.
+struct TextFeed<'a> {
+    h: &'a mut StateHasher,
+    buf: u64,
+    len: u64,
+}
+
+impl std::fmt::Write for TextFeed<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &byte in s.as_bytes() {
+            self.buf |= u64::from(byte) << (8 * (self.len % 8));
+            self.len += 1;
+            if self.len.is_multiple_of(8) {
+                self.h.word(self.buf);
+                self.buf = 0;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Tag-prefixed encodings of the small enums the machine digest covers.
+fn owner_words(o: Owner) -> [u64; 2] {
+    match o {
+        Owner::KCore => [0, 0],
+        Owner::KServ => [1, 0],
+        Owner::Vm(v) => [2, u64::from(v)],
+    }
+}
+
+pub(crate) fn lock_words(id: LockId) -> [u64; 2] {
+    match id {
+        LockId::VmId => [0, 0],
+        LockId::Vm(v) => [1, u64::from(v)],
+        LockId::KServS2 => [2, 0],
+        LockId::Smmu(d) => [3, u64::from(d)],
+        LockId::S2Page => [4, 0],
+        LockId::El2 => [5, 0],
+    }
+}
+
+fn table_words(kind: TableKind) -> [u64; 2] {
+    match kind {
+        TableKind::El2 => [0, 0],
+        TableKind::Stage2(None) => [1, 0],
+        TableKind::Stage2(Some(v)) => [2, u64::from(v)],
+        TableKind::Smmu(d) => [3, u64::from(d)],
+    }
+}
+
+fn digest_table(h: &mut StateHasher, root: Addr, geo: Geometry) {
+    h.word(root);
+    h.word(u64::from(geo.levels));
+    h.word(u64::from(geo.index_bits));
+    h.word(u64::from(geo.page_bits));
+}
+
+fn digest_stage2(h: &mut StateHasher, s2: &Stage2) {
+    h.words(table_words(s2.kind));
+    digest_table(h, s2.root(), s2.geometry());
+}
+
+pub(crate) fn digest_ctx(h: &mut StateHasher, ctx: &VcpuCtx) {
+    h.words(ctx.regs);
+    h.word(ctx.pc);
+    h.word(ctx.generation);
+}
+
+impl VmMeta {
+    fn digest_into(&self, h: &mut StateHasher) {
+        let VmMeta {
+            vmid,
+            state,
+            s2,
+            vcpus,
+            image_pfns,
+            expected_hash,
+            remap_va,
+            vgic,
+            uart,
+            migration_key,
+            exported,
+        } = self;
+        h.word(u64::from(*vmid));
+        h.word(*state as u64);
+        digest_stage2(h, s2);
+        h.word(vcpus.len() as u64);
+        for v in vcpus {
+            digest_ctx(h, &v.ctx);
+            match v.state {
+                VcpuState::Inactive => h.word(0),
+                VcpuState::Active { cpu } => {
+                    h.word(1);
+                    h.word(cpu as u64);
+                }
+            }
+        }
+        h.word(image_pfns.len() as u64);
+        h.words(image_pfns.iter().copied());
+        h.word(*expected_hash);
+        h.opt(*remap_va);
+        h.word(vgic.pending_masks().len() as u64);
+        h.words(vgic.pending_masks().map(u64::from));
+        h.word(uart.len() as u64);
+        h.words(
+            uart.chunks(8)
+                .map(|c| c.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b))),
+        );
+        h.word(*migration_key);
+        h.word(exported.len() as u64);
+        for (&gpa, &tag) in exported {
+            h.word(gpa);
+            h.word(tag);
         }
     }
 }
@@ -408,12 +611,92 @@ impl KCore {
         }
     }
 
-    /// Writes a canonical encoding of everything that can affect future
-    /// behaviour — memory, ownership, tables, VM/vCPU/device state, lock
-    /// queues, allocator pools — but *not* the event log (which records
-    /// the path taken, not the state reached) or lock statistics. The
-    /// machine's exhaustive-schedule exploration deduplicates on this.
-    pub fn encode_state(&self, w: &mut impl std::fmt::Write) {
+    /// Hashes everything that can affect future behaviour — memory,
+    /// ownership, tables, VM/vCPU/device state, lock queues, allocator
+    /// pools — but *not* the event log (which records the path taken,
+    /// not the state reached) or lock statistics. The machine's
+    /// exhaustive-schedule exploration deduplicates on this.
+    ///
+    /// Memory and the ownership array enter through the running digests
+    /// their writers keep ([`PhysMem::digest`], [`S2PageArray::digest`]),
+    /// so the cost is a few hundred words whatever the memory size.
+    pub(crate) fn digest_into(&self, h: &mut StateHasher) {
+        let KCore {
+            mem,
+            s2pages,
+            el2,
+            kserv_s2,
+            vms,
+            devices,
+            locks,
+            log: _,
+            cfg,
+            stage2_enabled,
+            smmu_enabled,
+            el2_pool,
+            s2_pool,
+            smmu_pool,
+            next_vmid,
+            remap_next,
+        } = self;
+        h.wide(mem.digest());
+        h.word(mem.population() as u64);
+        h.wide(s2pages.digest());
+        digest_table(h, el2.table().root, el2.table().geo);
+        digest_stage2(h, kserv_s2);
+        h.word(vms.len() as u64);
+        vms.iter().for_each(|vm| vm.digest_into(h));
+        h.word(devices.len() as u64);
+        for d in devices {
+            h.word(u64::from(d.dev));
+            h.words(owner_words(d.assigned_to));
+            digest_stage2(h, d.table());
+        }
+        locks.digest_into(h);
+        let KCoreConfig {
+            s2_levels,
+            check_transactional,
+            skip_tlbi_on_unmap,
+            skip_barrier_before_tlbi,
+            skip_ownership_check,
+            skip_scrub_on_reclaim,
+            skip_lock_acquire,
+            barrier_after_tlbi,
+            reclaim_leaks_ownership,
+            revoke_keeps_share,
+            revoke_skips_unmap,
+        } = *cfg;
+        h.word(u64::from(s2_levels));
+        let flags = [
+            check_transactional,
+            skip_tlbi_on_unmap,
+            skip_barrier_before_tlbi,
+            skip_ownership_check,
+            skip_scrub_on_reclaim,
+            skip_lock_acquire,
+            barrier_after_tlbi,
+            reclaim_leaks_ownership,
+            revoke_keeps_share,
+            revoke_skips_unmap,
+            *stage2_enabled,
+            *smmu_enabled,
+        ];
+        h.word(flags.iter().rev().fold(0, |w, &f| w << 1 | u64::from(f)));
+        h.word(u64::from(*next_vmid));
+        h.word(*remap_next);
+        for pool in [el2_pool, s2_pool, smmu_pool] {
+            let (lo, hi) = pool.range();
+            h.word(lo);
+            h.word(hi);
+            h.word(pool.allocated());
+        }
+    }
+
+    /// The text encoding [`KCore::digest_into`] replaced: the same state
+    /// `{:?}`-formatted (about 900 KB per core). Kept as the oracle the
+    /// machine tests check the structural digest's partition against.
+    #[cfg(test)]
+    pub(crate) fn encode_state(&self, w: &mut impl std::fmt::Write) {
         let _ = write!(
             w,
             "{:?};{:?};{:?};{:?};{:?};{:?};",

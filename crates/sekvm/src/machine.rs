@@ -9,7 +9,6 @@
 //! reproducible while exercising many interleavings.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -20,7 +19,7 @@ use vrm_memmodel::ir::{Addr, Val};
 use vrm_memmodel::symm;
 
 use crate::events::{LockId, MEvent};
-use crate::kcore::{HypercallError, KCore, KCoreConfig};
+use crate::kcore::{digest_ctx, lock_words, HypercallError, KCore, KCoreConfig, StateHasher};
 use crate::ticketlock::Ticket;
 
 /// One scripted operation.
@@ -939,7 +938,7 @@ impl ScheduleResume {
     }
 
     /// Serializes the suspended walk to a self-contained, checksummed
-    /// byte blob (`VRMSRES1`): the frontier as **schedule paths** (CPU
+    /// byte blob (`VRMSRES2`): the frontier as **schedule paths** (CPU
     /// choices from the root, replayed by the private scheduling
     /// node's deterministic single-step function) inside a
     /// VRMCKPT1 container, plus the visited digests, partial outcomes
@@ -1123,13 +1122,10 @@ impl ScheduleResume {
             .expect("schedule space has one initial node");
         let mut frontier = Vec::with_capacity(paths.frontier.len());
         for (SchedPath(path), depth) in paths.frontier {
-            let mut node = root.clone();
-            for &cpu in &path {
-                if usize::from(cpu) >= node.cpus.len() {
-                    return fail(CheckpointFault::BadState);
-                }
-                node = node.step_once(usize::from(cpu));
+            if path.iter().any(|&cpu| usize::from(cpu) >= root.cpus.len()) {
+                return fail(CheckpointFault::BadState);
             }
+            let node = root.run_path(path.iter().map(|&cpu| usize::from(cpu)));
             if !paths
                 .visited_digests
                 .contains(&vrm_explore::digest128(&node))
@@ -1150,8 +1146,12 @@ impl ScheduleResume {
 }
 
 /// Magic + version prefix of the serialized [`ScheduleResume`] format
-/// ([`ScheduleResume::to_bytes`]).
-pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES1";
+/// ([`ScheduleResume::to_bytes`]). A version-2 visited set is built
+/// from structural node digests. A version-1 set was built from the
+/// old text encoding, which no node matches any more, so a version-1
+/// blob is rejected as [`vrm_explore::CheckpointFault::BadMagic`] and
+/// the walk restarts.
+pub const RESUME_MAGIC: &[u8; 8] = b"VRMSRES2";
 
 /// A frontier entry's durable image: the schedule path reaching it from
 /// the initial state, carried through the engine's VRMCKPT1 container
@@ -1260,39 +1260,18 @@ impl ExhaustiveReport {
     }
 }
 
-/// Streams canonical-encoding text into two independent accumulators
-/// (FNV-1a and a rotate-multiply mix); 128 digest bits make accidental
-/// state collisions negligible even for millions of states.
-struct DigestWriter {
-    a: u64,
-    b: u64,
-}
-
-impl DigestWriter {
-    fn new() -> Self {
-        DigestWriter {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-}
-
-impl std::fmt::Write for DigestWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &byte in s.as_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-            self.b = (self.b.rotate_left(5) ^ u64::from(byte)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        Ok(())
-    }
-}
-
 /// One node in the schedule tree: the machine state plus the
-/// path-accumulated observations reported at a terminal. Identity is the
-/// 128-bit digest of the canonical state encoding, which excludes the
-/// event log, spin counters, and absolute ticket numbers — and the
-/// schedule `path`, which is derived bookkeeping (two different paths
-/// reaching the same machine state must still deduplicate).
+/// path-accumulated observations reported at a terminal. Identity is
+/// the structural 128-bit digest [`node_digest`] of the live state: the
+/// running digests of memory and of the pages off the boot ownership
+/// layout, the VM, device, lock-position, pool and config fields, each
+/// CPU's script position, phase, lock position, VM and held vCPU, and
+/// the accumulated results. It excludes the event log, spin counters and
+/// absolute ticket numbers — and the schedule `path`, which is derived
+/// bookkeeping (two different paths reaching the same machine state
+/// must still deduplicate). The digest never scans memory or the 16K
+/// ownership entries, so a node costs about one `KCore` clone and one
+/// step.
 #[derive(Clone)]
 struct SchedNode {
     kcore: KCore,
@@ -1311,6 +1290,52 @@ struct SchedNode {
     digest: (u64, u64),
 }
 
+/// The schedule node's identity: a prefix-free word encoding of the
+/// state [`SchedNode`] describes, through the pinned [`StateHasher`].
+fn node_digest(
+    kcore: &KCore,
+    cpus: &[CpuState],
+    ops_ok: usize,
+    failures: &[(usize, &'static str, HypercallError)],
+    expectation_violations: &[String],
+) -> (u64, u64) {
+    let mut h = StateHasher::new();
+    kcore.digest_into(&mut h);
+    h.word(cpus.len() as u64);
+    for c in cpus {
+        h.word(c.next_op as u64);
+        match &c.phase {
+            Phase::Idle => h.word(0),
+            Phase::Finished => h.word(1),
+            Phase::Spinning { lock, ticket, .. } => {
+                h.word(2);
+                h.words(lock_words(*lock));
+                h.word(kcore.locks.get(*lock).position(*ticket));
+            }
+        }
+        h.opt(c.vm.map(u64::from));
+        match &c.held {
+            None => h.word(0),
+            Some((vm, vcpu, ctx)) => {
+                h.word(1);
+                h.word(u64::from(*vm));
+                h.word(u64::from(*vcpu));
+                digest_ctx(&mut h, ctx);
+            }
+        }
+    }
+    h.word(ops_ok as u64);
+    h.word(failures.len() as u64);
+    for (cpu, name, e) in failures {
+        h.word(*cpu as u64);
+        h.text(name);
+        h.text(&format_args!("{e:?}"));
+    }
+    h.word(expectation_violations.len() as u64);
+    expectation_violations.iter().for_each(|v| h.text(v));
+    h.finish()
+}
+
 impl SchedNode {
     fn new(
         kcore: KCore,
@@ -1320,31 +1345,8 @@ impl SchedNode {
         expectation_violations: Vec<String>,
         path: Vec<u16>,
     ) -> Self {
-        let mut w = DigestWriter::new();
-        kcore.encode_state(&mut w);
-        for c in &cpus {
-            let _ = write!(w, "|{}", c.next_op);
-            match &c.phase {
-                Phase::Idle => {
-                    let _ = w.write_str(",i");
-                }
-                Phase::Finished => {
-                    let _ = w.write_str(",f");
-                }
-                Phase::Spinning { lock, ticket, .. } => {
-                    let _ = write!(
-                        w,
-                        ",s{:?}@{}",
-                        lock,
-                        kcore.locks.get(*lock).position(*ticket)
-                    );
-                }
-            }
-            let _ = write!(w, ",{:?},{:?}", c.vm, c.held);
-        }
-        let _ = write!(w, "|{ops_ok}|{failures:?}|{expectation_violations:?}");
         SchedNode {
-            digest: (w.a, w.b),
+            digest: node_digest(&kcore, &cpus, ops_ok, &failures, &expectation_violations),
             kcore,
             cpus,
             ops_ok,
@@ -1354,40 +1356,45 @@ impl SchedNode {
         }
     }
 
-    /// The deterministic successor of this node when `cpu` takes the
-    /// next step — the single transition function shared by
-    /// [`SchedSpace::expand`] and the checkpoint path replay in
-    /// [`ScheduleResume::from_bytes`], so a serialized frontier is
-    /// reconstructed by the *same* code that built it live.
-    fn step_once(&self, cpu: usize) -> SchedNode {
+    /// The node reached from this one when each CPU in `cpus` takes one
+    /// step, in order — the single transition function behind
+    /// [`SchedSpace::expand`], orbit canonicalization and the checkpoint
+    /// path replay in [`ScheduleResume::from_bytes`], so a replayed node
+    /// is built by the *same* code that built it live. The steps run in
+    /// place on one clone, and only the final node is digested.
+    fn run_path(&self, cpus: impl IntoIterator<Item = usize>) -> SchedNode {
         let mut m = Machine {
             kcore: self.kcore.clone(),
             cpus: self.cpus.clone(),
             rng: StdRng::seed_from_u64(0),
         };
-        let mut delta = RunReport {
-            ops_ok: 0,
-            failures: Vec::new(),
-            expectation_violations: Vec::new(),
+        let mut acc = RunReport {
+            ops_ok: self.ops_ok,
+            failures: self.failures.clone(),
+            expectation_violations: self.expectation_violations.clone(),
             steps: 0,
             total_spins: 0,
             stalled: false,
         };
-        m.step(cpu, &mut delta);
-        let mut failures = self.failures.clone();
-        failures.extend(delta.failures);
-        let mut violations = self.expectation_violations.clone();
-        violations.extend(delta.expectation_violations);
         let mut path = self.path.clone();
-        path.push(cpu as u16);
+        for cpu in cpus {
+            m.step(cpu, &mut acc);
+            path.push(cpu as u16);
+        }
         SchedNode::new(
             m.kcore,
             m.cpus,
-            self.ops_ok + delta.ops_ok,
-            failures,
-            violations,
+            acc.ops_ok,
+            acc.failures,
+            acc.expectation_violations,
             path,
         )
+    }
+
+    /// The deterministic successor of this node when `cpu` takes the
+    /// next step.
+    fn step_once(&self, cpu: usize) -> SchedNode {
+        self.run_path([cpu])
     }
 
     fn outcome(&self, stalled: bool) -> SchedOutcome {
@@ -1460,11 +1467,7 @@ fn script_perms(scripts: &[Script]) -> Vec<Vec<usize>> {
 /// reuses the same replay determinism that makes checkpoints
 /// serializable.
 fn replay_permuted(root: &SchedNode, path: &[u16], perm: &[usize]) -> SchedNode {
-    let mut node = root.clone();
-    for &c in path {
-        node = node.step_once(perm[usize::from(c)]);
-    }
-    node
+    root.run_path(path.iter().map(|&c| perm[usize::from(c)]))
 }
 
 /// The minimal-digest orbit member of `node` (when it is not `node`
@@ -1823,6 +1826,227 @@ pub fn lifecycle_script(cpu_index: u64, image_base_pfn: u64, data_pfn: u64) -> S
 mod tests {
     use super::*;
     use crate::layout::VM_POOL_PFN;
+    use std::collections::HashMap;
+    use std::fmt::Write as _;
+
+    /// Streams text into two byte-at-a-time accumulators (FNV-1a and a
+    /// rotate-multiply mix): the node digest before the structural one.
+    struct DigestWriter {
+        a: u64,
+        b: u64,
+    }
+
+    impl std::fmt::Write for DigestWriter {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &byte in s.as_bytes() {
+                self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                self.b =
+                    (self.b.rotate_left(5) ^ u64::from(byte)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            }
+            Ok(())
+        }
+    }
+
+    /// The text digest [`node_digest`] replaced, kept as the partition
+    /// oracle: the whole state `{:?}`-formatted and hashed.
+    fn text_digest(n: &SchedNode) -> (u64, u64) {
+        let mut w = DigestWriter {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6c62_272e_07bb_0142,
+        };
+        n.kcore.encode_state(&mut w);
+        for c in &n.cpus {
+            let _ = write!(w, "|{}", c.next_op);
+            match &c.phase {
+                Phase::Idle => {
+                    let _ = w.write_str(",i");
+                }
+                Phase::Finished => {
+                    let _ = w.write_str(",f");
+                }
+                Phase::Spinning { lock, ticket, .. } => {
+                    let pos = n.kcore.locks.get(*lock).position(*ticket);
+                    let _ = write!(w, ",s{lock:?}@{pos}");
+                }
+            }
+            let _ = write!(w, ",{:?},{:?}", c.vm, c.held);
+        }
+        let _ = write!(
+            w,
+            "|{}|{:?}|{:?}",
+            n.ops_ok, n.failures, n.expectation_violations
+        );
+        (w.a, w.b)
+    }
+
+    /// Both digests of every node one walk constructs, checked to
+    /// induce the same partition: old-equal exactly when new-equal.
+    #[derive(Default)]
+    struct Partition {
+        new_to_old: HashMap<(u64, u64), (u64, u64)>,
+        old_to_new: HashMap<(u64, u64), (u64, u64)>,
+    }
+
+    impl Partition {
+        /// Records `n`; returns its text digest.
+        fn record(&mut self, n: &SchedNode, what: &str) -> (u64, u64) {
+            let old = text_digest(n);
+            let o = *self.new_to_old.entry(n.digest).or_insert(old);
+            assert_eq!(o, old, "{what}: one structural digest, two text digests");
+            let d = *self.old_to_new.entry(old).or_insert(n.digest);
+            assert_eq!(
+                d, n.digest,
+                "{what}: one text digest, two structural digests"
+            );
+            old
+        }
+    }
+
+    /// Walks `scripts` the way the drivers do — successors by
+    /// [`SchedNode::step_once`], and with `reduction` each successor
+    /// replaced by its [`canon_node`] representative with its
+    /// [`orbit_nodes`] built too — recording every constructed node,
+    /// and checks the drivers' self-loop test under both digests.
+    /// Returns the number of distinct states.
+    fn walk_partition(part: &mut Partition, space: &SchedSpace, reduction: bool) -> usize {
+        let root_old = part.record(&space.root, "root");
+        let mut seen = BTreeSet::from([space.root.digest]);
+        let mut frontier = vec![(space.root.clone(), root_old)];
+        while let Some((node, node_old)) = frontier.pop() {
+            for cpu in SchedSpace::runnable(&node) {
+                let succ = node.step_once(cpu);
+                let succ_old = part.record(&succ, "successor");
+                assert_eq!(
+                    succ.digest == node.digest,
+                    succ_old == node_old,
+                    "self-loop check disagrees"
+                );
+                let (rep, rep_old) = match reduction.then(|| space.canon(&succ)).flatten() {
+                    Some(c) => {
+                        let old = part.record(&c, "canonical image");
+                        (c, old)
+                    }
+                    _ => (succ, succ_old),
+                };
+                if reduction {
+                    for img in space.orbit(&rep) {
+                        part.record(&img, "orbit image");
+                    }
+                }
+                if rep.digest != node.digest && seen.insert(rep.digest) {
+                    frontier.push((rep, rep_old));
+                }
+            }
+        }
+        seen.len()
+    }
+
+    /// The committed machine workloads: `unmap`, `mirror`, and the
+    /// per-CPU prefix pairs `(k0, k1)` with `k0 + k1 <= 3` or
+    /// `k0 == k1 <= 2` of those two and of a `lifecycle_script` pair
+    /// (the machine-walks benchmark family).
+    fn committed_workloads() -> Vec<Vec<Script>> {
+        let life = vec![
+            lifecycle_script(0, VM_POOL_PFN.0, VM_POOL_PFN.0 + 4),
+            lifecycle_script(1, VM_POOL_PFN.0 + 8, VM_POOL_PFN.0 + 12),
+        ];
+        let bases = [crate::workloads::unmap(), crate::workloads::mirror(), life];
+        let pairs = (0..=3usize)
+            .flat_map(|k0| (0..=3 - k0).map(move |k1| (k0, k1)))
+            .chain([(2, 2)])
+            .filter(|&p| p != (0, 0));
+        let mut out: Vec<Vec<Script>> = bases[..2].to_vec();
+        for (k0, k1) in pairs {
+            for base in &bases {
+                let s = vec![
+                    base[0][..k0.min(base[0].len())].to_vec(),
+                    base[1][..k1.min(base[1].len())].to_vec(),
+                ];
+                if !out.contains(&s) {
+                    out.push(s);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every node the committed workloads reach under `cfg`, with
+    /// reduction on and off, gets the same partition from both digests.
+    fn assert_partition_matches(cfg: KCoreConfig) -> Vec<usize> {
+        let mut states = Vec::new();
+        for scripts in committed_workloads() {
+            let space = SchedSpace::new(cfg, scripts);
+            // One partition per workload: digests are only ever compared
+            // within one walk.
+            let mut part = Partition::default();
+            let off = walk_partition(&mut part, &space, false);
+            // Without symmetry the reduced walk builds the same nodes.
+            let on = if space.perms.is_empty() {
+                off
+            } else {
+                walk_partition(&mut part, &space, true)
+            };
+            states.extend([off, on]);
+        }
+        states
+    }
+
+    #[test]
+    fn structural_digest_partitions_like_the_text_digest() {
+        let states = assert_partition_matches(KCoreConfig::default());
+        // unmap (off, on), mirror (off, on): the reduction anchors.
+        assert_eq!(states[..4], [117, 117, 137, 69]);
+    }
+
+    // The mutant sweep is split in two so the test harness runs the
+    // halves on separate threads.
+    #[test]
+    fn structural_digest_partitions_like_the_text_digest_under_mutants_a() {
+        let ms = crate::mutants::all();
+        ms[..ms.len() / 2]
+            .iter()
+            .for_each(|m| drop(assert_partition_matches(m.cfg)));
+    }
+
+    #[test]
+    fn structural_digest_partitions_like_the_text_digest_under_mutants_b() {
+        let ms = crate::mutants::all();
+        ms[ms.len() / 2..]
+            .iter()
+            .for_each(|m| drop(assert_partition_matches(m.cfg)));
+    }
+
+    /// The node at the end of a fixed schedule: every step of CPU 0's
+    /// script, then every step of CPU 1's.
+    fn serial_end(scripts: Vec<Script>) -> SchedNode {
+        let mut node = SchedSpace::new(KCoreConfig::default(), scripts).root;
+        for cpu in [0, 1] {
+            while !matches!(node.cpus[cpu].phase, Phase::Finished) {
+                node = node.step_once(cpu);
+            }
+        }
+        node
+    }
+
+    #[test]
+    fn structural_digest_is_pinned() {
+        // Golden values: the digest is built from fixed seeds and fixed
+        // mixes only, so these may change only with a deliberate change
+        // of the encoding (and a RESUME_MAGIC bump).
+        let boot = SchedSpace::new(KCoreConfig::default(), crate::workloads::unmap()).root;
+        let unmap = serial_end(crate::workloads::unmap());
+        let mirror = serial_end(crate::workloads::mirror());
+        assert_eq!((unmap.path.len(), mirror.path.len()), (18, 14));
+        assert_eq!(boot.digest, (0xbb0f_4e50_3b70_befc, 0x664f_f0b5_42af_052d));
+        assert_eq!(unmap.digest, (0x1512_b2c5_19f8_f983, 0x538c_5904_44d1_4bec));
+        assert_eq!(
+            mirror.digest,
+            (0x6320_a293_e570_4497, 0x1c27_54f6_d222_df09)
+        );
+        // The deep nodes did real work: VMs, vCPUs, faulted-in pages.
+        assert_eq!((unmap.ops_ok, mirror.ops_ok), (8, 8));
+        assert_ne!(unmap.kcore.s2pages.digest(), 0);
+    }
 
     fn scripts(n: usize) -> Vec<Script> {
         (0..n)
@@ -1931,6 +2155,43 @@ mod tests {
                 .expect_err("truncated bytes accepted");
         assert!(
             matches!(err, vrm_explore::ExploreError::CorruptCheckpoint(_)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn version_one_resume_bytes_are_rejected_as_bad_magic() {
+        // A VRMSRES1 blob's visited set holds text-encoding digests, so
+        // it must be refused outright (callers restart the walk), even
+        // when it is otherwise intact: here a current blob resealed under
+        // the old magic with a valid checksum.
+        let scripts = crate::workloads::by_name("unmap").expect("unmap workload");
+        let small = ExhaustiveConfig {
+            max_states: 40,
+            jobs: 1,
+            ..ExhaustiveConfig::default()
+        };
+        let bytes = Machine::explore_schedules(KCoreConfig::default(), scripts.clone(), &small)
+            .unwrap()
+            .resume
+            .expect("truncated")
+            .to_bytes()
+            .expect("serialize");
+        assert_eq!(&bytes[..8], b"VRMSRES2");
+        let mut v1 = bytes[..bytes.len() - vrm_explore::CHECKPOINT_FOOTER_LEN].to_vec();
+        v1[..8].copy_from_slice(b"VRMSRES1");
+        let sum = vrm_explore::checksum64(&v1);
+        v1.extend_from_slice(&(v1.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&sum.to_le_bytes());
+        let err = ScheduleResume::from_bytes(KCoreConfig::default(), scripts, &v1)
+            .expect_err("a VRMSRES1 blob was accepted");
+        assert!(
+            matches!(
+                err,
+                vrm_explore::ExploreError::CorruptCheckpoint(
+                    vrm_explore::CheckpointFault::BadMagic
+                )
+            ),
             "{err:?}"
         );
     }

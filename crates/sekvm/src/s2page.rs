@@ -6,6 +6,8 @@
 //! it is not the owner of a physical page before mapping it to a stage 2
 //! or SMMU page table."
 
+use vrm_mmu::mem::mix128;
+
 use crate::layout::{self, MAX_PFN};
 
 /// The owner of one physical page.
@@ -62,9 +64,51 @@ impl std::fmt::Display for OwnershipError {
 impl std::error::Error for OwnershipError {}
 
 /// The ownership array.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct S2PageArray {
     pages: Vec<S2Page>,
+    /// Wrapping sum of [`live_mix`] over the pages that differ from the
+    /// boot layout, kept current by every mutator so
+    /// [`S2PageArray::digest`] never scans the 16K pages.
+    digest: u128,
+}
+
+impl std::fmt::Debug for S2PageArray {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("S2PageArray")
+            .field("pages", &self.pages)
+            .finish()
+    }
+}
+
+/// A page's boot-time metadata.
+fn boot_page(pfn: u64) -> S2Page {
+    S2Page {
+        owner: if layout::is_kcore_private(pfn) {
+            Owner::KCore
+        } else {
+            Owner::KServ
+        },
+        shared: false,
+        map_count: 0,
+    }
+}
+
+/// A page's contribution to the array digest: zero while it still has
+/// its boot metadata, otherwise a pinned mix of every field.
+fn live_mix(pfn: u64, p: S2Page) -> u128 {
+    if p == boot_page(pfn) {
+        return 0;
+    }
+    let (tag, vm) = match p.owner {
+        Owner::KCore => (0, 0),
+        Owner::KServ => (1, 0),
+        Owner::Vm(v) => (2, u64::from(v)),
+    };
+    mix128(
+        pfn | u64::from(p.shared) << 32 | tag << 33,
+        vm << 32 | u64::from(p.map_count),
+    )
 }
 
 impl Default for S2PageArray {
@@ -77,18 +121,26 @@ impl S2PageArray {
     /// Creates the array with the boot-time layout: KCore private regions
     /// owned by KCore, everything else by KServ.
     pub fn new() -> Self {
-        let pages = (0..MAX_PFN)
-            .map(|pfn| S2Page {
-                owner: if layout::is_kcore_private(pfn) {
-                    Owner::KCore
-                } else {
-                    Owner::KServ
-                },
-                shared: false,
-                map_count: 0,
-            })
-            .collect();
-        S2PageArray { pages }
+        S2PageArray {
+            pages: (0..MAX_PFN).map(boot_page).collect(),
+            digest: 0,
+        }
+    }
+
+    /// Order-independent 128-bit digest of the pages that differ from
+    /// the boot layout, O(1): equal arrays give equal digests whatever
+    /// transitions produced them, and the boot array's digest is 0.
+    pub fn digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// Applies `f` to one (in-range) page, keeping the digest current.
+    fn update(&mut self, pfn: u64, f: impl FnOnce(&mut S2Page)) {
+        let p = &mut self.pages[pfn as usize];
+        let before = live_mix(pfn, *p);
+        f(p);
+        let after = live_mix(pfn, *p);
+        self.digest = self.digest.wrapping_sub(before).wrapping_add(after);
     }
 
     /// Reads a page's metadata.
@@ -116,23 +168,24 @@ impl S2PageArray {
         if page.map_count > 0 {
             return Err(OwnershipError::StillMapped);
         }
-        let p = &mut self.pages[pfn as usize];
-        p.owner = to;
-        p.shared = false;
+        self.update(pfn, |p| {
+            p.owner = to;
+            p.shared = false;
+        });
         Ok(())
     }
 
     /// Marks a page shared (or unshared) with KServ.
     pub fn set_shared(&mut self, pfn: u64, shared: bool) -> Result<(), OwnershipError> {
         self.get(pfn)?;
-        self.pages[pfn as usize].shared = shared;
+        self.update(pfn, |p| p.shared = shared);
         Ok(())
     }
 
     /// Notes one more stage-2/SMMU mapping of this page.
     pub fn inc_map(&mut self, pfn: u64) -> Result<(), OwnershipError> {
         self.get(pfn)?;
-        self.pages[pfn as usize].map_count += 1;
+        self.update(pfn, |p| p.map_count += 1);
         Ok(())
     }
 
@@ -142,7 +195,7 @@ impl S2PageArray {
         if p.map_count == 0 {
             return Err(OwnershipError::StillMapped);
         }
-        self.pages[pfn as usize].map_count -= 1;
+        self.update(pfn, |p| p.map_count -= 1);
         Ok(())
     }
 
@@ -204,6 +257,25 @@ mod tests {
         );
         a.dec_map(pfn).unwrap();
         a.transfer(pfn, Owner::KServ, Owner::Vm(1)).unwrap();
+    }
+
+    #[test]
+    fn digest_covers_only_pages_off_the_boot_layout() {
+        let mut a = S2PageArray::new();
+        assert_eq!(a.digest(), 0);
+        let pfn = layout::VM_POOL_PFN.0;
+        a.transfer(pfn, Owner::KServ, Owner::Vm(1)).unwrap();
+        a.inc_map(pfn).unwrap();
+        let mapped = a.digest();
+        assert_ne!(mapped, 0);
+        a.set_shared(pfn, true).unwrap();
+        assert_ne!(a.digest(), mapped);
+        a.set_shared(pfn, false).unwrap();
+        assert_eq!(a.digest(), mapped);
+        // Back to the boot metadata: the page drops out of the digest.
+        a.dec_map(pfn).unwrap();
+        a.transfer(pfn, Owner::Vm(1), Owner::KServ).unwrap();
+        assert_eq!(a.digest(), 0);
     }
 
     #[test]

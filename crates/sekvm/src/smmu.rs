@@ -83,6 +83,11 @@ impl SmmuDevice {
     pub fn mappings(&self, mem: &PhysMem) -> Vec<vrm_mmu::table::Mapping> {
         self.table.mappings(mem)
     }
+
+    /// The device's SMMU table.
+    pub fn table(&self) -> &Stage2 {
+        &self.table
+    }
 }
 
 impl Stage2 {

@@ -10,6 +10,9 @@
 /// Interrupt ids: SGIs are 0..16 like the GIC architecture.
 pub const MAX_IRQS: usize = 32;
 
+// `VGic::pending_masks` packs a vCPU's pending set into one `u32`.
+const _: () = assert!(MAX_IRQS <= 32);
+
 /// Errors from vGIC operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VgicError {
@@ -86,6 +89,16 @@ impl VGic {
     pub fn pending(&self, vcpu: u32) -> Result<Vec<u8>, VgicError> {
         let row = self.pending.get(vcpu as usize).ok_or(VgicError::BadVcpu)?;
         Ok((0..MAX_IRQS as u8).filter(|&i| row[i as usize]).collect())
+    }
+
+    /// Each vCPU's pending set as a bitmask (bit `i` = irq `i`), in vCPU
+    /// order.
+    pub fn pending_masks(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.pending.iter().map(|row| {
+            row.iter()
+                .enumerate()
+                .fold(0, |m, (i, &p)| m | u32::from(p) << i)
+        })
     }
 
     /// Does the vCPU have anything pending?

@@ -25,7 +25,7 @@
 //! | kind | meaning | payload |
 //! |------|---------|---------|
 //! | 1 | verdict insert | digest `u128`, verdict, `states u64`, `wall_ns u64`, detail |
-//! | 2 | checkpoint park | program digest `u128`, VRMSRES1 blob |
+//! | 2 | checkpoint park | program digest `u128`, VRMSRES2 blob |
 //! | 3 | checkpoint take | program digest `u128` |
 //! | 4 | verdict remove (TTL expiry) | digest `u128` |
 //!
@@ -99,7 +99,7 @@ pub enum WalRecord {
         /// The cached answer.
         entry: CacheEntry,
     },
-    /// A suspended walk was parked, serialized as a VRMSRES1 blob.
+    /// A suspended walk was parked, serialized as a VRMSRES2 blob.
     Park {
         /// The program digest (the checkpoint-store key).
         pdigest: u128,
@@ -415,7 +415,7 @@ fn decode_verdict(c: &mut &[u8]) -> Option<Verdict> {
     }
 }
 
-/// Stable byte tag of a truncation reason (shared with the VRMSRES1
+/// Stable byte tag of a truncation reason (shared with the VRMSRES2
 /// container's tags so both durable formats agree).
 pub fn reason_tag(r: TruncationReason) -> u8 {
     match r {

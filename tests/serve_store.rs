@@ -12,7 +12,13 @@ use std::time::Duration;
 
 use vrm::explore::Verdict;
 use vrm::obs::{serve as counters, Counter};
-use vrm::serve::{JobConfig, JobResult, JobSpec, ServeConfig, Service, SubmitOutcome};
+use vrm::sekvm::machine::{ExhaustiveConfig, Machine};
+use vrm::sekvm::{workloads, KCoreConfig};
+use vrm::serve::digest::program_digest;
+use vrm::serve::{
+    DurableStore, JobConfig, JobResult, JobSpec, ServeConfig, Service, StoreOptions, SubmitOutcome,
+    WalRecord,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -202,4 +208,76 @@ fn an_expired_unknown_is_reexplored_from_its_checkpoint() {
         "the re-exploration must start from the parked checkpoint"
     );
     svc.shutdown();
+}
+
+#[test]
+fn a_previous_format_checkpoint_restarts_the_escalated_walk() {
+    if armed() {
+        return;
+    }
+    // A daemon upgraded across a checkpoint-format bump finds walks in
+    // its log that were parked in the old format (`VRMSRES1`, whose
+    // visited sets hold digests no node has any more). Escalation must
+    // count the blob as corrupt and restart the walk — never fail the
+    // job or resume against stale digests.
+    let dir = temp_dir("v1-checkpoint");
+    let parked = Machine::explore_schedules(
+        KCoreConfig::default(),
+        workloads::unmap(),
+        &ExhaustiveConfig {
+            max_states: 40,
+            jobs: 1,
+            ..ExhaustiveConfig::default()
+        },
+    )
+    .expect("starved walk")
+    .resume
+    .expect("a 40-state unmap walk is truncated")
+    .to_bytes()
+    .expect("serialize");
+    let footer = vrm::explore::CHECKPOINT_FOOTER_LEN;
+    let mut v1 = parked[..parked.len() - footer].to_vec();
+    v1[..8].copy_from_slice(b"VRMSRES1");
+    let sum = vrm::explore::checksum64(&v1);
+    v1.extend_from_slice(&(v1.len() as u64).to_le_bytes());
+    v1.extend_from_slice(&sum.to_le_bytes());
+    {
+        let (mut store, _) = DurableStore::open(&dir, StoreOptions::default()).expect("open wal");
+        store.append(&WalRecord::Park {
+            pdigest: program_digest(&unmap()).expect("program digest"),
+            blob: v1,
+        });
+    }
+
+    let corrupt = Counter::new(counters::CHECKPOINT_CORRUPT);
+    let c0 = corrupt.get();
+    let svc = Service::start(durable_cfg(&dir));
+    let escalating = JobConfig {
+        escalate: true,
+        ..budget(40)
+    };
+    let (res, cached) = submit_wait(&svc, unmap(), escalating);
+    svc.shutdown();
+    assert!(!cached);
+    assert!(corrupt.get() > c0, "the old-format blob must be counted");
+    assert!(
+        matches!(res.verdict, Verdict::Pass),
+        "escalation must finish the restarted walk: {:?}",
+        res.verdict
+    );
+    assert!(
+        res.resumed,
+        "later escalations resume the walk parked in the current format"
+    );
+    let scratch = Machine::explore_schedules(
+        KCoreConfig::default(),
+        workloads::unmap(),
+        &ExhaustiveConfig {
+            jobs: 1,
+            ..ExhaustiveConfig::default()
+        },
+    )
+    .expect("full walk");
+    assert_eq!(res.detail, format!("outcomes:{}", scratch.outcomes.len()));
+    let _ = std::fs::remove_dir_all(&dir);
 }
